@@ -15,8 +15,13 @@
 //
 // The result cache is enabled and warmed (the serving steady state: the
 // measurement isolates FRONT-END cost — framing, dispatch, fan-in,
-// syscalls — not tree traversal). Emits "# json: net_throughput"; CI gates
-// on requests/sec staying positive at batch 16 so the front-end cannot
+// syscalls — not tree traversal). Warm sums complete on the loop thread,
+// so these cells price the front-end plus the hit path. An "uncached"
+// series beside them runs the same synchronous round-trips against a
+// cache-off engine, where every sum scatters to the pool and traverses the
+// trees: the pair separates the cost of a hit from the cost of a miss.
+// Emits "# json: net_throughput"; CI gates on requests/sec staying
+// positive at batch 16, cached and uncached, so the front-end cannot
 // silently stop serving. Honors REPRO_SCALE / REPRO_FULL (bench_util.h).
 //
 // A second series ("# json: net_backpressure") measures admission control:
@@ -57,6 +62,36 @@ struct NetResult {
   double hist_overhead_pct = 0.0;
 };
 
+/// Synchronous round-trips: `connections` clients, one `batch`-sum frame
+/// in flight each, `frames_per_client` frames apiece over facilities
+/// [0, num_fac). Returns queries/sec; per-frame latencies go to `recorder`.
+double SyncRoundTrips(uint16_t port, size_t connections, size_t batch,
+                      size_t frames_per_client, size_t num_fac,
+                      tq::bench::LatencyRecorder* recorder) {
+  std::vector<std::thread> clients;
+  tq::Timer timer;
+  for (size_t c = 0; c < connections; ++c) {
+    clients.emplace_back([&, c]() {
+      NetClient client;
+      TQ_CHECK(client.Connect("127.0.0.1", port).ok());
+      std::vector<tq::FacilityId> ids(batch);
+      for (size_t i = 0; i < frames_per_client; ++i) {
+        for (size_t b = 0; b < batch; ++b) {
+          ids[b] = static_cast<tq::FacilityId>((c + i * batch + b) % num_fac);
+        }
+        NetResponse resp;
+        tq::Timer frame_timer;
+        TQ_CHECK(client.Sum(ids, &resp).ok() && resp.status.ok());
+        recorder->RecordSeconds(frame_timer.ElapsedSeconds());
+        TQ_CHECK(resp.sums.size() == batch);
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  return static_cast<double>(frames_per_client * connections * batch) /
+         timer.ElapsedSeconds();
+}
+
 }  // namespace
 
 int main() {
@@ -73,6 +108,11 @@ int main() {
   options.cache_capacity = 4096;
   options.tree.beta = env.DefaultBeta();
   options.tree.model = tq::ServiceModel::PointCount(env.DefaultPsi());
+  // The uncached series' engine: same data and topology, cache off, so
+  // every sum does real tree work. Built before the move below.
+  tq::runtime::ShardedEngineOptions uncached_options = options;
+  uncached_options.cache_capacity = 0;
+  tq::runtime::ShardedEngine uncached_engine(users, routes, uncached_options);
   // Copies for the overload series below, taken before the move: that
   // engine runs cache-less so its queries do real tree work.
   tq::TrajectorySet overload_users = users;
@@ -122,30 +162,8 @@ int main() {
       // Synchronous round-trips: one frame in flight per connection. One
       // wait-free recorder shared by every client thread (bench_util.h).
       tq::bench::LatencyRecorder recorder;
-      {
-        std::vector<std::thread> clients;
-        tq::Timer timer;
-        for (size_t c = 0; c < connections; ++c) {
-          clients.emplace_back([&, c]() {
-            NetClient client;
-            TQ_CHECK(client.Connect("127.0.0.1", server.port()).ok());
-            std::vector<tq::FacilityId> ids(batch);
-            for (size_t i = 0; i < frames_per_client; ++i) {
-              for (size_t b = 0; b < batch; ++b) {
-                ids[b] = static_cast<tq::FacilityId>(
-                    (c + i * batch + b) % num_fac);
-              }
-              NetResponse resp;
-              tq::Timer frame_timer;
-              TQ_CHECK(client.Sum(ids, &resp).ok() && resp.status.ok());
-              recorder.RecordSeconds(frame_timer.ElapsedSeconds());
-              TQ_CHECK(resp.sums.size() == batch);
-            }
-          });
-        }
-        for (auto& t : clients) t.join();
-        r.rps = static_cast<double>(r.queries) / timer.ElapsedSeconds();
-      }
+      r.rps = SyncRoundTrips(server.port(), connections, batch,
+                             frames_per_client, num_fac, &recorder);
       const tq::runtime::HistogramSnapshot lat = recorder.Snapshot();
       r.p50_ms = tq::bench::PercentileMs(lat, 0.50);
       r.p99_ms = tq::bench::PercentileMs(lat, 0.99);
@@ -228,6 +246,41 @@ int main() {
   std::printf("\npipelined observability overhead (aggregate, best-of-3 "
               "per cell): %.2f%%\n", total_overhead_pct);
 
+  // Uncached cells: the same synchronous round-trips against the cache-off
+  // engine. Every sum misses, scatters to the pool and traverses the
+  // trees, so a cell costs ~num_fac tree sums per batch — kept to two
+  // passes over the catalog instead of the cached cells' query target.
+  tq::bench::Banner("Net throughput — uncached engine (every sum a miss)");
+  tq::bench::PrintSeriesHeader({"rps", "p50_ms", "p99_ms"});
+  std::vector<NetResult> uncached;
+  {
+    NetServer uncached_server(&uncached_engine, NetServerOptions{});
+    TQ_CHECK(uncached_server.Start().ok());
+    for (const size_t connections : {1u, 4u}) {
+      for (const size_t batch : {1u, 16u}) {
+        NetResult r;
+        r.connections = connections;
+        r.batch = batch;
+        const size_t frames_per_client =
+            std::max<size_t>(2, 2 * num_fac / (connections * batch));
+        r.queries = frames_per_client * connections * batch;
+        tq::bench::LatencyRecorder recorder;
+        r.rps = SyncRoundTrips(uncached_server.port(), connections, batch,
+                               frames_per_client, num_fac, &recorder);
+        const tq::runtime::HistogramSnapshot lat = recorder.Snapshot();
+        r.p50_ms = tq::bench::PercentileMs(lat, 0.50);
+        r.p99_ms = tq::bench::PercentileMs(lat, 0.99);
+        uncached.push_back(r);
+        char label[48];
+        std::snprintf(label, sizeof(label), "conns=%zu,batch=%zu",
+                      connections, batch);
+        tq::bench::PrintTimeRow(label, {"rps", "p50_ms", "p99_ms"},
+                                {r.rps, r.p50_ms, r.p99_ms});
+      }
+    }
+    uncached_server.Stop();
+  }
+
   const tq::runtime::MetricsView m = engine.metrics().Read();
   std::printf("\nserver totals: %llu connections, %llu frames decoded, "
               "%llu bytes in, %llu bytes out\n",
@@ -251,6 +304,15 @@ int main() {
         i == 0 ? "" : ",", r.connections, r.batch, r.queries, r.rps,
         r.p50_ms, r.p99_ms, r.pipe_rps, r.pipe_nohist_rps,
         r.hist_overhead_pct);
+  }
+  std::printf("],\"uncached\":[");
+  for (size_t i = 0; i < uncached.size(); ++i) {
+    const NetResult& r = uncached[i];
+    std::printf(
+        "%s{\"connections\":%zu,\"batch\":%zu,\"queries\":%zu,"
+        "\"requests_per_sec\":%.1f,\"p50_ms\":%.3f,\"p99_ms\":%.3f}",
+        i == 0 ? "" : ",", r.connections, r.batch, r.queries, r.rps,
+        r.p50_ms, r.p99_ms);
   }
   std::printf("],\"hist_overhead_pct_total\":%.2f}\n", total_overhead_pct);
 

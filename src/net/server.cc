@@ -35,6 +35,13 @@ void RaiseVersion(std::atomic<uint64_t>* v, uint64_t seen) {
   }
 }
 
+/// The server whose event loop runs on this thread (null elsewhere). Set
+/// and cleared by that thread alone, so reading it needs no
+/// synchronisation: it tells a completion staged on the loop thread —
+/// flushed by the same round's dirty_ drain — from one on a pool thread,
+/// which has to wake the loop.
+thread_local const NetServer* tls_loop_server = nullptr;
+
 /// One response slot in a connection's arrival-order FIFO. A request frame
 /// claims its slot when decoded; the slot turns ready when the last of the
 /// frame's sub-queries completes.
@@ -289,6 +296,18 @@ void NetServer::Stop() {
   }
 }
 
+void NetServer::MarkDirty(const std::shared_ptr<Connection>& conn) {
+  {
+    std::lock_guard<std::mutex> lock(dirty_mu_);
+    dirty_.push_back(conn);
+  }
+  // Everything the loop thread runs in a round — frame handling, inline
+  // engine completions, update flushes — precedes that round's dirty_
+  // swap, so its own staging needs no eventfd write and no extra
+  // epoll_wait round. Only other threads must wake it.
+  if (tls_loop_server != this) WakeLoop();
+}
+
 void NetServer::WakeLoop() {
   const uint64_t one = 1;
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
@@ -320,6 +339,7 @@ void NetServer::RearmTimer() {
 }
 
 void NetServer::EventLoop() {
+  tls_loop_server = this;
   if (tick_period_ns_ != 0) {
     next_tick_ns_ = runtime::NowNs() + tick_period_ns_;
   }
@@ -399,6 +419,7 @@ void NetServer::EventLoop() {
   // Shutdown: parked update frames still get applied and answered (their
   // responses are flushed best-effort by Stop()).
   FlushUpdates();
+  tls_loop_server = nullptr;
 }
 
 void NetServer::Accept() {
@@ -882,13 +903,7 @@ void NetServer::Complete(const std::shared_ptr<Connection>& conn,
       stage = true;
     }
   }
-  if (stage) {
-    {
-      std::lock_guard<std::mutex> lock(dirty_mu_);
-      dirty_.push_back(conn);
-    }
-    WakeLoop();
-  }
+  if (stage) MarkDirty(conn);
 }
 
 void NetServer::FlushOutbox(const std::shared_ptr<Connection>& conn) {
@@ -1010,7 +1025,9 @@ void NetServer::BeginWork(size_t n) {
 }
 
 void NetServer::EndWork() {
-  queued_work_.fetch_sub(1, std::memory_order_relaxed);
+  // release: a queued_work() reader that sees the drop also sees the
+  // response this work staged.
+  queued_work_.fetch_sub(1, std::memory_order_release);
   std::lock_guard<std::mutex> lock(inflight_mu_);
   if (--inflight_ == 0) inflight_cv_.notify_all();
 }
@@ -1196,13 +1213,7 @@ bool NetServer::StagePush(const std::shared_ptr<Connection>& conn,
       stage = true;
     }
   }
-  if (stage) {
-    {
-      std::lock_guard<std::mutex> lock(dirty_mu_);
-      dirty_.push_back(conn);
-    }
-    WakeLoop();
-  }
+  if (stage) MarkDirty(conn);
   return true;
 }
 

@@ -8,13 +8,16 @@
 //   * READ  — bytes are fed to a per-connection FrameAssembler; every
 //     complete frame is decoded (net/protocol.h) and its queries are
 //     dispatched straight onto the ShardedEngine's worker pool via
-//     SubmitAsync. The loop never evaluates a query itself.
-//   * COMPLETE — the pool thread that finishes a gather runs the completion
+//     SubmitAsync. The loop never traverses a tree itself; a cache hit
+//     (warm sum, memoised top-k) completes inline on the loop thread.
+//   * COMPLETE — the thread that finishes a gather runs the completion
 //     callback: it fills the frame's slot in the connection's arrival-order
 //     FIFO, and when the FIFO head becomes ready, encodes and stages the
-//     response bytes and wakes the loop through an eventfd. Responses are
-//     therefore PIPELINED per connection: many request frames may be in
-//     flight, and answers always come back in arrival order.
+//     response bytes. A pool thread then wakes the loop through an eventfd;
+//     the loop thread needs no wake, as it drains staged bytes at the end
+//     of every round. Responses are therefore PIPELINED per connection:
+//     many request frames may be in flight, and answers always come back
+//     in arrival order.
 //   * WRITE — the loop drains each connection's staged bytes with
 //     non-blocking sends, falling back to EPOLLOUT when the socket's buffer
 //     fills.
@@ -135,6 +138,13 @@ class NetServer {
   /// helper; the subs_* metrics carry the cumulative story.
   size_t active_subscriptions() const;
 
+  /// Engine calls dispatched and not yet completed (the admission-control
+  /// gauge). Zero means every frame read so far has been answered into its
+  /// connection's outbox. Test/monitor helper.
+  size_t queued_work() const {
+    return queued_work_.load(std::memory_order_acquire);
+  }
+
  private:
   struct Connection;
   struct PendingUpdate;
@@ -181,6 +191,9 @@ class NetServer {
   /// Non-blocking send of a connection's staged bytes (loop thread only).
   void FlushOutbox(const std::shared_ptr<Connection>& conn);
   void CloseConnection(const std::shared_ptr<Connection>& conn);
+  /// Queues a connection with newly staged bytes for the loop's dirty_
+  /// drain (any thread); wakes the loop unless called on it.
+  void MarkDirty(const std::shared_ptr<Connection>& conn);
   void WakeLoop();
   /// Claims the next arrival-order response slot (any thread).
   uint64_t AllocSlot(Connection* conn);
@@ -245,7 +258,11 @@ class NetServer {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;   // eventfd: completion callbacks wake the loop
+  /// eventfd: completions staged on pool threads (and Stop()) wake the
+  /// loop. Completions on the loop thread itself — inline answers, warm
+  /// sums, memoised top-k, update flushes — never write it: the loop drains
+  /// dirty_ at the end of the same round.
+  int wake_fd_ = -1;
   /// One CLOCK_MONOTONIC timerfd carries BOTH timed duties of the loop —
   /// the parked-update flush and the engine's periodic Tick — so
   /// epoll_wait always blocks with timeout -1 instead of recomputing a
@@ -267,7 +284,8 @@ class NetServer {
   std::vector<PendingUpdate> pending_updates_;
 
   // Connections with staged response bytes, appended by completion
-  // callbacks (any thread) and drained by the loop on each wake.
+  // callbacks (any thread) and drained by the loop at the end of every
+  // round.
   std::mutex dirty_mu_;
   std::vector<std::shared_ptr<Connection>> dirty_;
 

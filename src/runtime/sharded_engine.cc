@@ -46,7 +46,9 @@ namespace tq::runtime {
 // Shared per-query scatter/gather state. Each shard task writes only its own
 // slots; the last task to finish (remaining hits zero) performs the gather —
 // which for pruned top-k is the COORDINATOR step that may fan out a second
-// round of per-shard refinement tasks. No pool thread ever blocks on another
+// round of per-shard refinement tasks. A sum's cache probe fills the warm
+// shards' slots before any task is posted, and `remaining` counts only the
+// cold shards; with none cold, the submitting thread gathers. No pool thread ever blocks on another
 // task; the rounds are sequenced by the remaining-counter barrier alone.
 struct ShardedEngine::GatherState {
   QueryRequest request;
@@ -499,9 +501,7 @@ void ShardedEngine::SubmitAsync(QueryRequest request, ResponseCallback done) {
 
 void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
                                 ResponseCallback done, uint64_t start_ns) {
-  auto state = std::make_shared<GatherState>();
-  state->request = request;
-  state->snap = snapshot();
+  ShardedSnapshotPtr snap = snapshot();
   const bool topk = request.kind == QueryKind::kTopK;
   metrics_.AddQuery(topk);
   // Submit-to-completion latency, recorded on EVERY completion path below
@@ -522,14 +522,14 @@ void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
 
   // Malformed tenant requests come back as errors before any scatter.
   if (request.kind == QueryKind::kServiceValue &&
-      request.facility >= state->snap->catalog->size()) {
+      request.facility >= snap->catalog->size()) {
     QueryResponse response;
     response.kind = request.kind;
-    response.snapshot_version = state->snap->version;
+    response.snapshot_version = snap->version;
     response.status = Status::OutOfRange(
         "facility id " + std::to_string(request.facility) +
         " out of range (catalog has " +
-        std::to_string(state->snap->catalog->size()) + ")");
+        std::to_string(snap->catalog->size()) + ")");
     finish_inline(std::move(response));
     return;
   }
@@ -537,12 +537,11 @@ void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
   // A memoised gathered top-k answer for this exact generation vector
   // short-circuits the whole scatter (per-shard invalidation: only a
   // republish of a contributing shard can stale it).
-  if (request.kind == QueryKind::kTopK) {
+  if (topk) {
     QueryResponse response;
     response.kind = request.kind;
-    response.snapshot_version = state->snap->version;
-    if (cache_.GetTopK(TopKKeyFor(*state->snap, request.k),
-                       &response.ranked)) {
+    response.snapshot_version = snap->version;
+    if (cache_.GetTopK(TopKKeyFor(*snap, request.k), &response.ranked)) {
       response.cache_hit = true;
       metrics_.AddCacheHit();
       finish_inline(std::move(response));
@@ -550,7 +549,7 @@ void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
     }
     // Degenerate ranking (k = 0 or an empty catalog) needs no scatter at
     // all — answer empty immediately, like the malformed-request path.
-    if (request.k == 0 || state->snap->catalog->size() == 0) {
+    if (request.k == 0 || snap->catalog->size() == 0) {
       finish_inline(std::move(response));
       return;
     }
@@ -574,6 +573,9 @@ void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
                             topk ? request.k : request.facility);
     }
   }
+  auto state = std::make_shared<GatherState>();
+  state->request = request;
+  state->snap = std::move(snap);
   state->trace = trace;
   state->done = [this, t0, family, trace, owns_trace,
                  inner = std::move(done)](QueryResponse response) {
@@ -586,9 +588,45 @@ void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
 
   const size_t n = state->snap->shards.size();
   state->values.resize(n, 0.0);
-  state->fac_values.resize(n);
   state->stats.resize(n);
   state->hits.assign(n, 0);
+
+  if (!topk) {
+    // Probe, then scatter only the cold shards: every shard's cache entry
+    // is looked up here, on the submitting thread, so a fully warm sum
+    // costs no thread hand-off at all and completes through Gather before
+    // SubmitAsync returns. Each lookup happens exactly once — the posted
+    // cold-shard tasks evaluate without a second Get.
+    size_t cold = n;
+    if (cache_.enabled()) {
+      const uint64_t probe_t0 = trace ? NowNs() : 0;
+      const FacilityCatalog& catalog = *state->snap->catalog;
+      for (size_t s = 0; s < n; ++s) {
+        if (ProbeShardCache(*state->snap->shards[s], catalog,
+                            request.facility, &state->values[s])) {
+          state->hits[s] = 1;
+          --cold;
+        }
+      }
+      if (trace) trace->AddSpan("cache_probe", -1, probe_t0, NowNs());
+    }
+    if (cold == 0) {
+      Gather(state.get());
+      return;
+    }
+    state->remaining.store(cold, std::memory_order_relaxed);
+    // Post timestamps feed the per-shard queue-wait spans; one clock read
+    // covers the whole fan-out.
+    const uint64_t post_ns = NowNs();
+    for (size_t s = 0; s < n; ++s) {
+      if (state->hits[s] != 0) continue;
+      pool_.Post(
+          [this, state, s, post_ns]() { ExecuteShard(state, s, post_ns); });
+    }
+    return;
+  }
+
+  state->fac_values.resize(n);
   state->remaining.store(n, std::memory_order_relaxed);
   // Adaptive protocol selection: once the effective k covers
   // prune_skip_ratio of the catalog, the answer must contain most
@@ -600,10 +638,8 @@ void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
       options_.prune_topk &&
       static_cast<double>(std::min(request.k, num_fac)) <
           options_.prune_skip_ratio * static_cast<double>(num_fac);
-  // Post timestamps feed the per-shard queue-wait spans; one clock read
-  // covers the whole fan-out.
   const uint64_t post_ns = NowNs();
-  if (state->request.kind == QueryKind::kTopK && prune) {
+  if (prune) {
     // Bound-and-prune protocol: scatter round-1 bound-sweep tasks; the
     // coordinator (last finisher) decides what round 2 must refine.
     state->bounds.resize(n);
@@ -632,32 +668,50 @@ std::vector<QueryResponse> ShardedEngine::RunBatch(
   return responses;
 }
 
-double ShardedEngine::ShardServiceValue(const ShardState& shard,
-                                        const FacilityCatalog& catalog,
-                                        FacilityId f, QueryStats* stats,
-                                        bool* cache_hit) {
-  const ResultCache::Key key{f, PsiBits(catalog.psi()), shard.generation,
-                             shard.shard};
-  double value = 0.0;
-  if (cache_.Get(key, &value)) {
-    *cache_hit = true;
-    metrics_.AddCacheHit();
-    return value;
-  }
-  *cache_hit = false;
+namespace {
+
+ResultCache::Key ShardKey(const ShardState& shard,
+                          const FacilityCatalog& catalog, FacilityId f) {
+  return ResultCache::Key{f, PsiBits(catalog.psi()), shard.generation,
+                          shard.shard};
+}
+
+}  // namespace
+
+bool ShardedEngine::ProbeShardCache(const ShardState& shard,
+                                    const FacilityCatalog& catalog,
+                                    FacilityId f, double* value) {
+  if (!cache_.Get(ShardKey(shard, catalog, f), value)) return false;
+  metrics_.AddCacheHit();
+  return true;
+}
+
+double ShardedEngine::EvaluateShard(const ShardState& shard,
+                                    const FacilityCatalog& catalog,
+                                    FacilityId f, QueryStats* stats) {
   // Pool threads land here concurrently on the same frozen shard tree; the
   // kernel layer underneath (StopGrid neighborhood lists, the tree's bound
   // arena, the evaluator's served-mask batch path) is immutable after
   // freeze, and each thread's segmented-evaluation scratch lives in a
   // thread_local ServiceAccumulator arena inside EvaluateServiceTQ — so a
   // cache miss costs zero allocation on the steady state and no locks.
-  value = EvaluateServiceTQ(shard.tree.get(), *shard.eval, catalog.grid(f),
-                            stats);
+  const double value = EvaluateServiceTQ(shard.tree.get(), *shard.eval,
+                                         catalog.grid(f), stats);
   if (cache_.enabled()) {
     metrics_.AddCacheMiss();
-    metrics_.AddCacheEvictions(cache_.Put(key, value));
+    metrics_.AddCacheEvictions(
+        cache_.Put(ShardKey(shard, catalog, f), value));
   }
   return value;
+}
+
+double ShardedEngine::ShardServiceValue(const ShardState& shard,
+                                        const FacilityCatalog& catalog,
+                                        FacilityId f, QueryStats* stats,
+                                        bool* cache_hit) {
+  double value = 0.0;
+  *cache_hit = ProbeShardCache(shard, catalog, f, &value);
+  return *cache_hit ? value : EvaluateShard(shard, catalog, f, stats);
 }
 
 void ShardedEngine::ExecuteShard(const std::shared_ptr<GatherState>& state,
@@ -674,10 +728,12 @@ void ShardedEngine::ExecuteShard(const std::shared_ptr<GatherState>& state,
   const ShardState& shard = *state->snap->shards[shard_idx];
   const FacilityCatalog& catalog = *state->snap->catalog;
   QueryStats stats;
-  bool hit = false;
   if (state->request.kind == QueryKind::kServiceValue) {
-    state->values[shard_idx] = ShardServiceValue(
-        shard, catalog, state->request.facility, &stats, &hit);
+    // Only cold shards get a task: SubmitAsync already probed the cache
+    // (and counted the lookup), so this task evaluates without a second
+    // Get. hits[shard_idx] stays 0.
+    state->values[shard_idx] =
+        EvaluateShard(shard, catalog, state->request.facility, &stats);
   } else {
     // Top-k needs this shard's contribution for EVERY facility: a global
     // winner may rank arbitrarily low within a single shard, so per-shard
@@ -685,15 +741,15 @@ void ShardedEngine::ExecuteShard(const std::shared_ptr<GatherState>& state,
     // earlier service-value traffic (same keys) short-circuit most of it.
     std::vector<double>& values = state->fac_values[shard_idx];
     values.resize(catalog.size(), 0.0);
-    hit = true;
+    bool hit = true;
     for (uint32_t f = 0; f < catalog.size(); ++f) {
       bool f_hit = false;
       values[f] = ShardServiceValue(shard, catalog, f, &stats, &f_hit);
       hit = hit && f_hit;
     }
+    state->hits[shard_idx] = hit ? 1 : 0;
   }
   state->stats[shard_idx] = stats;
-  state->hits[shard_idx] = hit ? 1 : 0;
   metrics_.AddShardTask();
   if (t0 != 0) {
     const uint64_t t1 = NowNs();

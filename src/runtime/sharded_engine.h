@@ -7,8 +7,11 @@
 //
 //   * Queries scatter: a Submit fans one task per shard onto the thread
 //     pool; each task answers from its shard's frozen snapshot (cache-
-//     assisted), and the last finisher gathers — summing per-shard service
-//     values in ascending shard order, or merging per-shard per-facility
+//     assisted), and the last finisher gathers. A sum first probes every
+//     shard's cache entry on the submitting thread and posts tasks only
+//     for the shards that missed — a fully warm sum gathers inline, with
+//     no hand-off. The gather sums per-shard service
+//     values in ascending shard order, or merges per-shard per-facility
 //     value vectors into one ranked top-k list with the library's
 //     (value desc, facility id asc) tie-break. No pool thread ever blocks
 //     waiting on another task, so a pool of any size cannot deadlock.
@@ -217,18 +220,24 @@ class ShardedEngine : public ServingEngine {
   /// Total users ever added (inserts are append-only; removes de-index).
   size_t NumUsersTotal() const;
 
-  /// Scatters one query across all shards; the returned future completes
-  /// when the last shard's task has been gathered.
+  /// Scatters one query across the shards it needs; the returned future
+  /// completes when the last shard's task has been gathered (or before
+  /// Submit returns, for a warm sum).
   std::future<QueryResponse> Submit(QueryRequest request);
 
   /// Completion callback for SubmitAsync. Runs exactly once: on the pool
   /// thread that finishes the gather, or inline on the submitting thread
-  /// for cache hits, rejected requests, and degenerate queries.
+  /// for fully warm sums (every shard's entry cached), memoised top-k
+  /// answers, rejected requests, and degenerate queries.
   using ResponseCallback = ServingEngine::ResponseCallback;
 
   /// Callback-style Submit — the dispatch hook event-driven front-ends
   /// (src/net/server.h) use to avoid parking a thread per in-flight query.
-  /// The callback must not block and must not destroy the engine.
+  /// A sum with the cache enabled probes every shard's entry on the
+  /// calling thread first and posts tasks only for the shards that missed;
+  /// when none missed, the gather — and `done` — run inline before
+  /// SubmitAsync returns. The callback must not block and must not destroy
+  /// the engine.
   void SubmitAsync(QueryRequest request, ResponseCallback done);
 
   /// SubmitAsync with a caller-owned trace context: the scatter/gather path
@@ -316,7 +325,16 @@ class ShardedEngine : public ServingEngine {
   /// to the exhaustive one.
   void RankTopK(GatherState* state, std::vector<RankedFacility> complete,
                 QueryResponse* response);
-  /// Cache-assisted SO(U_s, f) on one shard's frozen snapshot.
+  /// One shard's (facility, ψ, generation, shard) cache lookup: true, with
+  /// `*value` set and the hit counted, when the entry is warm.
+  bool ProbeShardCache(const ShardState& shard, const FacilityCatalog& catalog,
+                       FacilityId f, double* value);
+  /// SO(U_s, f) computed on one shard's frozen snapshot, stored into the
+  /// cache (and counted as a miss) when the cache is enabled.
+  double EvaluateShard(const ShardState& shard, const FacilityCatalog& catalog,
+                       FacilityId f, QueryStats* stats);
+  /// Cache-assisted SO(U_s, f): ProbeShardCache, then EvaluateShard on a
+  /// miss.
   double ShardServiceValue(const ShardState& shard,
                            const FacilityCatalog& catalog, FacilityId f,
                            QueryStats* stats, bool* cache_hit);

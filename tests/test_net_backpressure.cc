@@ -168,18 +168,13 @@ class BurstSender {
   std::atomic<bool> sent_all_{false};
 };
 
-// Waits until the outbox gauge stops moving (already-read frames keep
-// completing through the pool for a while after the pause lands), then
-// returns the settled value.
-uint64_t SettledOutboxGauge(ShardedEngine* engine) {
-  uint64_t gauge = engine->metrics().Read().net_outbox_bytes;
-  for (int i = 0; i < 40; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    const uint64_t now = engine->metrics().Read().net_outbox_bytes;
-    if (now == gauge) return gauge;
-    gauge = now;
-  }
-  return gauge;
+// Waits until every frame the server has read is answered into its outbox
+// (no engine work in flight), then returns the outbox gauge. While the
+// connection is paused nothing new is read, so the gauge is then settled.
+uint64_t SettledOutboxGauge(const NetServer& server, ShardedEngine* engine) {
+  EXPECT_TRUE(WaitFor([&] { return server.queued_work() == 0; }))
+      << "engine work still in flight";
+  return engine->metrics().Read().net_outbox_bytes;
 }
 
 // ------------------------------------------------- backpressure watermarks
@@ -223,9 +218,8 @@ TEST(NetBackpressure, NeverReadingPipelinerIsBoundedPausedThenResumed) {
   // nowhere near the ~9 MB owed. (The bound is the watermark plus the
   // responses for whatever the loop had read before the pause landed — a
   // couple hundred KB — asserted here with generous margin.)
-  const uint64_t gauge = SettledOutboxGauge(&engine);
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  EXPECT_EQ(engine.metrics().Read().net_outbox_bytes, gauge)
+  const uint64_t gauge = SettledOutboxGauge(server, &engine);
+  EXPECT_EQ(SettledOutboxGauge(server, &engine), gauge)
       << "outbox still growing while paused";
   EXPECT_LE(gauge, 2u << 20) << "outbox not bounded by the watermarks";
 

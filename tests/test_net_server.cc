@@ -2,7 +2,8 @@
 // decodes losslessly and rejects malformed bytes, and the epoll server over
 // a loopback socket answers sum / top-k / update requests BIT-IDENTICALLY
 // to direct ShardedEngine calls for shards ∈ {1, 4, 8}, pipelines
-// multi-request connections in arrival order, coalesces update frames into
+// multi-request connections in arrival order (warm frames answered on the
+// loop thread included), coalesces update frames into
 // one publish, survives malformed frames and oversized length prefixes, and
 // shuts down cleanly with requests still in flight. Run under
 // -fsanitize=thread (cmake -DTQ_SANITIZE=thread) to check the
@@ -474,6 +475,75 @@ TEST(NetServer, PipelinedFramesAnswerInArrivalOrder) {
     }
   }
   EXPECT_EQ(client.pending(), 0u);
+  server.Stop();
+}
+
+// Warm frames complete on the loop thread itself: a fully cached sum and a
+// memoised top-k finish inside SubmitAsync, a stats frame is answered
+// inline, and none of them writes the wake eventfd — the loop flushes what
+// it staged at the end of the same round. One otherwise idle connection
+// pipelines a burst of such frames; with no other traffic to wake the loop,
+// every answer must still arrive, in order (a per-call timeout turns a lost
+// flush into a failure instead of a hang), and no shard task may run.
+TEST(NetServer, WarmFramesAnsweredInOrderWithoutPoolHandoff) {
+  const TrajectorySet users = presets::NyfCheckins(800);
+  const TrajectorySet routes = presets::NyBusRoutes(8, 8);
+  ShardedEngine direct(users, routes, EngineOptions(4));
+  ShardedEngine served(users, routes, EngineOptions(4));
+  NetServer server(&served, NetServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  NetClient client;
+  client.set_timeout_ms(5000);
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  std::vector<FacilityId> all(routes.size());
+  for (uint32_t f = 0; f < routes.size(); ++f) all[f] = f;
+  NetResponse warmup;
+  ASSERT_TRUE(client.Sum(all, &warmup).ok() && warmup.status.ok());
+  ASSERT_TRUE(client.TopK({3}, &warmup).ok() && warmup.status.ok());
+  const uint64_t tasks_before = served.metrics().Read().shard_tasks;
+
+  constexpr size_t kFrames = 60;
+  for (size_t i = 0; i < kFrames; ++i) {
+    if (i % 3 == 0) {
+      ASSERT_TRUE(client
+                      .Send(NetRequest::Sum(
+                          {static_cast<FacilityId>(i % routes.size())}))
+                      .ok());
+    } else if (i % 3 == 1) {
+      ASSERT_TRUE(client.Send(NetRequest::TopK({3})).ok());
+    } else {
+      ASSERT_TRUE(client.Send(NetRequest::Stats(4)).ok());
+    }
+  }
+  ASSERT_TRUE(client.Flush().ok());
+  const QueryResponse top3 = direct.Submit(QueryRequest::TopK(3)).get();
+  for (size_t i = 0; i < kFrames; ++i) {
+    NetResponse response;
+    ASSERT_TRUE(client.Receive(&response).ok()) << "frame " << i;
+    ASSERT_TRUE(response.status.ok()) << "frame " << i;
+    if (i % 3 == 0) {
+      ASSERT_EQ(response.type, MessageType::kSum) << "frame " << i;
+      ASSERT_EQ(response.sums.size(), 1u);
+      const FacilityId f = static_cast<FacilityId>(i % routes.size());
+      EXPECT_EQ(response.sums[0].value,
+                direct.Submit(QueryRequest::ServiceValue(f)).get().value)
+          << "frame " << i;
+    } else if (i % 3 == 1) {
+      ASSERT_EQ(response.type, MessageType::kTopK) << "frame " << i;
+      ASSERT_EQ(response.topks.size(), 1u);
+      ASSERT_EQ(response.topks[0].ranked.size(), top3.ranked.size());
+      for (size_t r = 0; r < top3.ranked.size(); ++r) {
+        EXPECT_EQ(response.topks[0].ranked[r].id, top3.ranked[r].id);
+        EXPECT_EQ(response.topks[0].ranked[r].value, top3.ranked[r].value);
+      }
+    } else {
+      ASSERT_EQ(response.type, MessageType::kStats) << "frame " << i;
+    }
+  }
+  EXPECT_EQ(client.pending(), 0u);
+  // Every sum and top-k of the burst was a hit answered on the loop thread.
+  EXPECT_EQ(served.metrics().Read().shard_tasks, tasks_before);
   server.Stop();
 }
 

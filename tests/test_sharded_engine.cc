@@ -357,6 +357,110 @@ TEST(ShardedEngine, SingleShardPublishKeepsOtherShardsCacheWarm) {
   (void)touched;
 }
 
+// Probe-then-scatter: a sum whose every shard entry is cached completes on
+// the submitting thread, inside SubmitAsync, without posting a single shard
+// task — and its value is the cold answer bit for bit. The model is
+// per-user normalized, so a different summation order would show in the
+// low bits.
+TEST(ShardedEngine, WarmSumAnsweredInline) {
+  Rng rng(63);
+  const Rect w = Rect::Of(0, 0, 20000, 20000);
+  const TrajectorySet users = testing::RandomUsers(&rng, 300, 2, 5, w);
+  const TrajectorySet facs = testing::RandomFacilities(&rng, 8, 8, w);
+  const ServiceModel model = ServiceModel::PointCount(300.0);
+  constexpr size_t kShards = 4;
+  ShardedEngine engine(users, facs, ShardedOptions(kShards, model));
+  ShardedEngine uncached(users, facs,
+                         ShardedOptions(kShards, model, 4,
+                                        /*cache_capacity=*/0));
+
+  std::vector<double> cold(facs.size());
+  for (uint32_t f = 0; f < facs.size(); ++f) {
+    const QueryResponse r =
+        engine.Submit(QueryRequest::ServiceValue(f)).get();
+    EXPECT_FALSE(r.cache_hit);
+    cold[f] = r.value;
+    EXPECT_EQ(r.value,
+              uncached.Submit(QueryRequest::ServiceValue(f)).get().value);
+  }
+  const uint64_t tasks_before = engine.metrics().Read().shard_tasks;
+  EXPECT_EQ(tasks_before, kShards * facs.size());
+
+  for (uint32_t f = 0; f < facs.size(); ++f) {
+    bool answered = false;
+    QueryResponse warm;
+    engine.SubmitAsync(QueryRequest::ServiceValue(f),
+                       [&](QueryResponse r) {
+                         warm = std::move(r);
+                         answered = true;
+                       });
+    // No wait of any kind: the callback already ran on this thread.
+    ASSERT_TRUE(answered) << "facility " << f;
+    EXPECT_TRUE(warm.status.ok());
+    EXPECT_TRUE(warm.cache_hit);
+    EXPECT_EQ(warm.value, cold[f]) << "facility " << f;
+  }
+  const runtime::MetricsView m = engine.metrics().Read();
+  EXPECT_EQ(m.shard_tasks, tasks_before);
+  EXPECT_EQ(m.cache_hits, kShards * facs.size());
+  EXPECT_EQ(m.cache_misses, kShards * facs.size());
+}
+
+// After a single-shard publish every sum is a partial hit: the probe finds
+// the untouched shards warm, so exactly ONE shard task is posted per sum,
+// and the gathered value equals a cache-off engine's (same users, same
+// update) bit for bit. Across the cold, partial and warm paths the
+// per-kind latency histograms still count every query exactly once.
+TEST(ShardedEngine, PartialHitScattersOnlyColdShards) {
+  Rng rng(67);
+  const Rect w = Rect::Of(0, 0, 20000, 20000);
+  const TrajectorySet users = testing::RandomUsers(&rng, 300, 2, 5, w);
+  const TrajectorySet facs = testing::RandomFacilities(&rng, 8, 8, w);
+  const ServiceModel model = ServiceModel::PointCount(300.0);
+  constexpr size_t kShards = 4;
+  ShardedEngine engine(users, facs, ShardedOptions(kShards, model));
+  ShardedEngine uncached(users, facs,
+                         ShardedOptions(kShards, model, 4,
+                                        /*cache_capacity=*/0));
+  for (uint32_t f = 0; f < facs.size(); ++f) {
+    engine.Submit(QueryRequest::ServiceValue(f)).get();  // cold: fills
+  }
+
+  UpdateBatch batch;
+  batch.removes = {0};
+  engine.ApplyUpdates(batch);
+  uncached.ApplyUpdates(batch);
+
+  for (uint32_t f = 0; f < facs.size(); ++f) {
+    const uint64_t before = engine.metrics().Read().shard_tasks;
+    const QueryResponse partial =
+        engine.Submit(QueryRequest::ServiceValue(f)).get();
+    EXPECT_EQ(engine.metrics().Read().shard_tasks - before, 1u)
+        << "facility " << f;
+    EXPECT_FALSE(partial.cache_hit);
+    const QueryResponse want =
+        uncached.Submit(QueryRequest::ServiceValue(f)).get();
+    EXPECT_EQ(partial.value, want.value) << "facility " << f;
+    EXPECT_EQ(partial.snapshot_version, want.snapshot_version);
+
+    // And once more, now fully warm: no task, same bits.
+    const QueryResponse warm =
+        engine.Submit(QueryRequest::ServiceValue(f)).get();
+    EXPECT_EQ(engine.metrics().Read().shard_tasks - before, 1u);
+    EXPECT_TRUE(warm.cache_hit);
+    EXPECT_EQ(warm.value, want.value) << "facility " << f;
+  }
+
+  const runtime::MetricsView m = engine.metrics().Read();
+  EXPECT_EQ(m.queries_total, 3 * facs.size());
+  const auto count = [&](runtime::OpFamily family) {
+    return m.op_histograms[static_cast<size_t>(family)].count;
+  };
+  EXPECT_EQ(count(runtime::OpFamily::kServiceQuery) +
+                count(runtime::OpFamily::kTopKQuery),
+            m.queries_total);
+}
+
 TEST(ShardedEngine, OutOfRangeFacilityReturnsErrorNotCrash) {
   Rng rng(71);
   const Rect w = Rect::Of(0, 0, 20000, 20000);
